@@ -30,7 +30,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,7 +63,9 @@ type Config struct {
 	// Shards sets the singleflight shard count (default 16).
 	Shards int
 	// Client overrides the upstream HTTP client (tests and benchmarks
-	// inject in-process transports); nil builds a default.
+	// inject in-process transports). Nil sends through the gate's own
+	// keep-alive transport, called directly, so a replica's 3xx passes
+	// through like any other status.
 	Client *http.Client
 	// Logger receives one structured record per backend state change; nil
 	// discards.
@@ -97,6 +101,8 @@ func (c Config) withDefaults() Config {
 // backend is one replica's live state.
 type backend struct {
 	url string
+	// base is url parsed once, the template of every upstream request.
+	base *url.URL
 	// up is the routing bit: probes and passive transport errors clear it,
 	// a successful probe sets it. Starts true — optimistic, corrected
 	// within one probe window or one failed request.
@@ -107,48 +113,56 @@ type backend struct {
 	requests atomic.Uint64
 }
 
-// upstreamRequest is everything the gate forwards upstream: the routed
-// method/path/body plus the headers that must survive the hop — the
+// forwarded names the client headers that must survive the hop: the
 // content type, and the admission headers (tenant, deadline, accept) that
-// drive per-tenant fairness and deadline propagation on the replica. A
-// coalesced flight forwards its first rider's headers.
+// drive per-tenant fairness and deadline propagation on the replica.
+var forwarded = [...]string{"Content-Type", "Accept", serve.TenantHeader, serve.DeadlineHeader}
+
+// upstreamRequest is everything the gate forwards upstream: the routed
+// method/path/body plus the forwarded header values. A coalesced flight
+// forwards its first rider's headers.
 type upstreamRequest struct {
-	method   string
-	path     string
-	ctype    string
-	accept   string
-	tenant   string
-	deadline string
-	body     []byte
+	method, path string
+	header       [len(forwarded)]string
+	body         []byte
 }
 
 // newUpstreamRequest snapshots the forwardable parts of a client request.
 func newUpstreamRequest(r *http.Request, body []byte) *upstreamRequest {
-	return &upstreamRequest{
-		method:   r.Method,
-		path:     r.URL.Path,
-		ctype:    r.Header.Get("Content-Type"),
-		accept:   r.Header.Get("Accept"),
-		tenant:   r.Header.Get(serve.TenantHeader),
-		deadline: r.Header.Get(serve.DeadlineHeader),
-		body:     body,
+	u := &upstreamRequest{method: r.Method, path: r.URL.Path, body: body}
+	for i, name := range forwarded {
+		u.header[i] = r.Header.Get(name)
 	}
+	return u
 }
 
-// apply stamps the snapshot onto an outbound request.
-func (u *upstreamRequest) apply(req *http.Request) {
-	if u.ctype != "" {
-		req.Header.Set("Content-Type", u.ctype)
+// request builds the outbound request to b. peerOwner names the primary
+// owner when the request was rerouted away from it (empty otherwise), so
+// the handling replica can try a peer cache-fill before evaluating locally.
+func (u *upstreamRequest) request(ctx context.Context, b *backend, peerOwner string) *http.Request {
+	target := *b.base
+	target.Path = b.base.Path + u.path
+	req := &http.Request{
+		Method: u.method, URL: &target, Host: target.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header, len(forwarded)+1),
 	}
-	if u.accept != "" {
-		req.Header.Set("Accept", u.accept)
+	if len(u.body) > 0 {
+		// GetBody lets the transport replay the body when a pooled
+		// connection turns out to be closed before anything was written.
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(u.body)), nil }
+		req.Body, _ = req.GetBody()
+		req.ContentLength = int64(len(u.body))
 	}
-	if u.tenant != "" {
-		req.Header.Set(serve.TenantHeader, u.tenant)
+	for i, v := range u.header {
+		if v != "" {
+			req.Header.Set(forwarded[i], v)
+		}
 	}
-	if u.deadline != "" {
-		req.Header.Set(serve.DeadlineHeader, u.deadline)
+	if peerOwner != "" {
+		req.Header.Set(serve.PeerOwnerHeader, peerOwner)
 	}
+	return req.WithContext(ctx)
 }
 
 // upstreamResult is one fetched response, shared across a flight's riders.
@@ -169,8 +183,10 @@ type Gate struct {
 	backends []*backend
 	ring     *Ring
 	flight   *flightGroup
-	client   *http.Client
-	mux      *http.ServeMux
+	// do sends one upstream request: Config.Client's Do, or the dedicated
+	// transport's RoundTrip.
+	do  func(*http.Request) (*http.Response, error)
+	mux *http.ServeMux
 
 	// streamMu guards streams, the in-flight tee table for streaming
 	// requests (see stream.go).
@@ -192,10 +208,18 @@ func New(cfg Config) (*Gate, error) {
 		return nil, fmt.Errorf("cluster: no backends configured")
 	}
 	urls := make([]string, len(cfg.Backends))
+	g := &Gate{
+		cfg:      cfg,
+		backends: make([]*backend, len(urls)),
+		flight:   newFlightGroup(cfg.Shards),
+		mux:      http.NewServeMux(),
+		streams:  make(map[serve.Key]*streamFlight),
+	}
 	seen := make(map[string]bool, len(cfg.Backends))
 	for i, u := range cfg.Backends {
 		u = strings.TrimSuffix(strings.TrimSpace(u), "/")
-		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
+		base, err := url.Parse(u)
+		if err != nil || (base.Scheme != "http" && base.Scheme != "https") || base.Host == "" {
 			return nil, fmt.Errorf("cluster: backend %q is not a base URL", u)
 		}
 		if seen[u] {
@@ -203,22 +227,13 @@ func New(cfg Config) (*Gate, error) {
 		}
 		seen[u] = true
 		urls[i] = u
-	}
-	g := &Gate{
-		cfg:     cfg,
-		ring:    NewRing(urls),
-		flight:  newFlightGroup(cfg.Shards),
-		client:  cfg.Client,
-		mux:     http.NewServeMux(),
-		streams: make(map[serve.Key]*streamFlight),
-	}
-	if g.client == nil {
-		g.client = &http.Client{Timeout: cfg.Timeout}
-	}
-	g.backends = make([]*backend, len(urls))
-	for i, u := range urls {
-		g.backends[i] = &backend{url: u}
+		g.backends[i] = &backend{url: u, base: base}
 		g.backends[i].up.Store(true)
+	}
+	g.ring = NewRing(urls)
+	g.do = newTransport().RoundTrip
+	if cfg.Client != nil {
+		g.do = cfg.Client.Do
 	}
 	g.mux.HandleFunc("POST /v1/model", func(w http.ResponseWriter, r *http.Request) {
 		g.proxy(w, r, keyOrRaw(serve.ModelKey))
@@ -299,11 +314,7 @@ func (g *Gate) ProbeNow(ctx context.Context) {
 
 // probe checks one backend's liveness.
 func (g *Gate) probe(ctx context.Context, b *backend) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.client.Do(req)
+	resp, err := g.do((&upstreamRequest{method: http.MethodGet, path: "/healthz"}).request(ctx, b, ""))
 	if err != nil {
 		return false
 	}
@@ -320,9 +331,6 @@ func (g *Gate) markDown(b *backend) {
 	}
 }
 
-// isUp is the ring filter for live routing.
-func (g *Gate) isUp(i int) bool { return g.backends[i].up.Load() }
-
 // proxy is the shared request path: read the body, canonicalize to the
 // routing key, coalesce identical concurrent requests onto one upstream
 // fetch, and write the shared result — applying If-None-Match per client,
@@ -334,8 +342,14 @@ func (g *Gate) proxy(w http.ResponseWriter, r *http.Request, keyFn func([]byte) 
 	}
 	key := keyFn(body)
 	ureq := newUpstreamRequest(r, body)
-	res, err, shared := g.flight.do(r.Context(), key, func() (*upstreamResult, error) {
-		return g.fetch(key, ureq)
+	res, err, shared := g.flight.do(r.Context(), key, func() (res *upstreamResult, err error) {
+		// A body-read failure counts as a transport failure, so the next
+		// replica gets the request.
+		_, err = g.forward(context.Background(), key, func(b *backend, peerOwner string) (err error) {
+			res, err = g.roundTrip(b, ureq, peerOwner)
+			return err
+		})
+		return res, err
 	})
 	if shared {
 		g.coalesced.Add(1)
@@ -371,18 +385,20 @@ func (g *Gate) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// fetch routes one upstream request: the key's highest-scoring live
-// replica first, then down the rendezvous order as transport errors
-// (connection refused, resets, timeouts) knock replicas out. HTTP error
-// statuses are not failures — a replica's 400 or 503 is its answer and
-// passes through verbatim. When every replica looks down the gate fails
-// open to the primary owner: if the whole cluster bounced, optimism
-// recovers faster than refusing traffic.
-func (g *Gate) fetch(key serve.Key, ureq *upstreamRequest) (*upstreamResult, error) {
+// forward routes one upstream request down the key's rendezvous order: the
+// highest-scoring live replica first, then the next as transport errors
+// (connection refused, resets, timeouts) knock replicas out. try makes one
+// attempt against b; its error is such a failure. HTTP error statuses are
+// not failures — a replica's 400 or 503 is its answer and passes through
+// verbatim. When every replica looks down the gate fails open to the
+// primary owner: if the whole cluster bounced, optimism recovers faster
+// than refusing traffic. Failover stops once ctx is done. The returned
+// backend is the one that answered.
+func (g *Gate) forward(ctx context.Context, key serve.Key, try func(b *backend, peerOwner string) error) (*backend, error) {
 	primary := g.ring.Owner(key, nil)
 	tried := make([]bool, len(g.backends))
 	for range g.backends {
-		idx := g.ring.Owner(key, func(i int) bool { return !tried[i] && g.isUp(i) })
+		idx := g.ring.Owner(key, func(i int) bool { return !tried[i] && g.backends[i].up.Load() })
 		if idx < 0 {
 			idx = g.ring.Owner(key, func(i int) bool { return !tried[i] })
 		}
@@ -390,56 +406,40 @@ func (g *Gate) fetch(key serve.Key, ureq *upstreamRequest) (*upstreamResult, err
 			break
 		}
 		tried[idx] = true
-		b := g.backends[idx]
-		ownerURL := ""
+		b, peerOwner := g.backends[idx], ""
 		if idx != primary {
-			ownerURL = g.backends[primary].url
+			peerOwner = g.backends[primary].url
 		}
-		res, err := g.roundTrip(b, ureq, ownerURL)
-		if err != nil {
+		if err := try(b, peerOwner); err != nil {
 			g.upstreamErrors.Add(1)
 			g.markDown(b)
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			continue
 		}
 		if idx != primary {
 			g.rerouted.Add(1)
 		}
 		b.requests.Add(1)
-		res.backend = b.url
-		return res, nil
+		return b, nil
 	}
 	return nil, fmt.Errorf("all %d backends unreachable", len(g.backends))
 }
 
-// roundTrip issues one upstream request and buffers the response. ownerURL
-// names the primary owner when the request was rerouted away from it
-// (empty otherwise). The context is detached from any single client — the
-// result is shared by every rider of the flight, so the first client
-// hanging up must not cancel it (the same contract as the replica's
-// evaluate).
-func (g *Gate) roundTrip(b *backend, ureq *upstreamRequest, ownerURL string) (*upstreamResult, error) {
+// roundTrip issues one upstream request and buffers the response. The
+// context is detached from any single client — the result is shared by
+// every rider of the flight, so the first client hanging up must not
+// cancel it (the same contract as the replica's evaluate).
+func (g *Gate) roundTrip(b *backend, ureq *upstreamRequest, peerOwner string) (*upstreamResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.Timeout)
 	defer cancel()
-	var rd io.Reader
-	if len(ureq.body) > 0 {
-		rd = bytes.NewReader(ureq.body)
-	}
-	req, err := http.NewRequestWithContext(ctx, ureq.method, b.url+ureq.path, rd)
-	if err != nil {
-		return nil, err
-	}
-	ureq.apply(req)
-	if ownerURL != "" {
-		// Name the primary owner so the handling replica can try a peer
-		// cache-fill before evaluating locally.
-		req.Header.Set(serve.PeerOwnerHeader, ownerURL)
-	}
-	resp, err := g.client.Do(req)
+	resp, err := g.do(ureq.request(ctx, b, peerOwner))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readAll(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -449,8 +449,38 @@ func (g *Gate) roundTrip(b *backend, ureq *upstreamRequest, ownerURL string) (*u
 		etag:       resp.Header.Get("ETag"),
 		xcache:     resp.Header.Get("X-Cache"),
 		retryAfter: resp.Header.Get("Retry-After"),
+		backend:    b.url,
 		body:       data,
 	}, nil
+}
+
+// readAll reads a response body in one allocation of exactly its
+// Content-Length (replicas always send one), falling back to io.ReadAll
+// when the length is unknown or too large (past 64 MiB) to trust up front.
+func readAll(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= 64<<20 {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, buf)
+		return buf, err
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// newTransport builds the gate's upstream transport. The process-wide
+// http.DefaultTransport keeps two idle connections per host, so more than
+// two concurrent requests per replica would dial a fresh TCP connection
+// each; this pool keeps up to 64. Replicas never compress, and a 32 KiB
+// read buffer takes a cache-hit response (≤10 KB) in one read. There is no
+// client-wide timeout: every fetch carries its own context deadline.
+func newTransport() *http.Transport {
+	return &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     90 * time.Second,
+		TLSHandshakeTimeout: 10 * time.Second,
+		DisableCompression:  true,
+		ReadBufferSize:      32 << 10,
+	}
 }
 
 // writeResult renders a shared upstream result to one client, applying

@@ -12,9 +12,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -228,9 +226,9 @@ func (g *Gate) serveStream(w http.ResponseWriter, r *http.Request, key serve.Key
 }
 
 // pump is the flight owner's upstream fetch: route to the key's live
-// owner replica (rendezvous failover applies only before the first byte —
-// a partially relayed stream cannot restart on another backend), then
-// append each chunk to the shared buffer as it arrives.
+// owner replica (failover applies only before the response head — a
+// partially relayed stream cannot restart on another backend), then append
+// each chunk to the shared buffer as it arrives.
 func (g *Gate) pump(ctx context.Context, key serve.Key, f *streamFlight, ureq *upstreamRequest) {
 	defer func() {
 		g.streamMu.Lock()
@@ -239,52 +237,13 @@ func (g *Gate) pump(ctx context.Context, key serve.Key, f *streamFlight, ureq *u
 		}
 		g.streamMu.Unlock()
 	}()
-	primary := g.ring.Owner(key, nil)
-	tried := make([]bool, len(g.backends))
 	var resp *http.Response
-	var picked *backend
-	for range g.backends {
-		idx := g.ring.Owner(key, func(i int) bool { return !tried[i] && g.isUp(i) })
-		if idx < 0 {
-			idx = g.ring.Owner(key, func(i int) bool { return !tried[i] })
-		}
-		if idx < 0 {
-			break
-		}
-		tried[idx] = true
-		b := g.backends[idx]
-		var rd io.Reader
-		if len(ureq.body) > 0 {
-			rd = bytes.NewReader(ureq.body)
-		}
-		req, err := http.NewRequestWithContext(ctx, ureq.method, b.url+ureq.path, rd)
-		if err != nil {
-			f.finish(err)
-			return
-		}
-		ureq.apply(req)
-		if idx != primary {
-			req.Header.Set(serve.PeerOwnerHeader, g.backends[primary].url)
-		}
-		resp, err = g.client.Do(req)
-		if err != nil {
-			g.upstreamErrors.Add(1)
-			g.markDown(b)
-			if ctx.Err() != nil {
-				f.finish(ctx.Err())
-				return
-			}
-			continue
-		}
-		if idx != primary {
-			g.rerouted.Add(1)
-		}
-		b.requests.Add(1)
-		picked = b
-		break
-	}
-	if resp == nil {
-		f.finish(fmt.Errorf("all %d backends unreachable", len(g.backends)))
+	picked, err := g.forward(ctx, key, func(b *backend, peerOwner string) (err error) {
+		resp, err = g.do(ureq.request(ctx, b, peerOwner))
+		return err
+	})
+	if err != nil {
+		f.finish(err)
 		return
 	}
 	defer resp.Body.Close()

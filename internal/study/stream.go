@@ -79,14 +79,23 @@ func newProgressThrottle(total int) *progressThrottle {
 	return &progressThrottle{total: total, step: step, next: 1}
 }
 
-// take reports whether a snapshot at done trials should be emitted and, if
-// so, advances the next threshold.
-func (t *progressThrottle) take(done int) bool {
-	if done < t.next || done >= t.total {
-		return false
+// take returns the prefix length to snapshot for a frontier advance to
+// done trials, or 0 for none, and advances the next threshold. When the
+// first advance already completes the ensemble (the chunk holding trial 0
+// finished last), it snapshots the first step trials instead, so every
+// ensemble larger than one step streams at least one progress event.
+func (t *progressThrottle) take(done int) int {
+	if done < t.next {
+		return 0
+	}
+	if done >= t.total {
+		if t.next > 1 || t.step >= t.total {
+			return 0
+		}
+		done = t.step
 	}
 	t.next = done + t.step
-	return true
+	return done
 }
 
 // summaryCap bounds the per-snapshot summarization cost. Summarize sorts
@@ -120,9 +129,10 @@ func progressFn[T any](total int, emit func(Progress), value func(T) float64) fu
 	// the frontier lock, so the shared scratch needs no locking.
 	var z sweep.Summarizer
 	return func(done int, prefix []T) {
-		if !th.take(done) {
+		if done = th.take(done); done == 0 {
 			return
 		}
+		prefix = prefix[:done]
 		stride := 1
 		if done > summaryCap {
 			stride = (done + summaryCap - 1) / summaryCap

@@ -140,3 +140,36 @@ func TestRunStreamNonEnsembleKinds(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 }
+
+// TestProgressFirstAdvanceCompletes pins the schedule when the chunk
+// holding trial 0 finishes last, so the frontier jumps from 0 straight to
+// the total: the stream still carries exactly one progress event, the
+// snapshot of the first step trials, and never one for the completed
+// ensemble.
+func TestProgressFirstAdvanceCompletes(t *testing.T) {
+	for _, total := range []int{2, 63, 192, 4096} {
+		prefix := make([]float64, total)
+		for i := range prefix {
+			prefix[i] = float64(total - i)
+		}
+		var events []Progress
+		fn := progressFn(total, func(p Progress) { events = append(events, p) },
+			func(v float64) float64 { return v })
+		fn(total, prefix)
+		if len(events) != 1 {
+			t.Fatalf("total %d: %d progress events, want 1", total, len(events))
+		}
+		p := events[0]
+		if p.Done <= 0 || p.Done >= p.Total || p.Total != total || p.Summary.N != p.Done {
+			t.Errorf("total %d: event %+v, want 0 < Done = Summary.N < Total = %d", total, p, total)
+		}
+		if want := float64(total - p.Done + 1); p.Summary.Min != want {
+			t.Errorf("total %d: summary min %v, want %v (the prefix [0, %d) only)", total, p.Summary.Min, want, p.Done)
+		}
+	}
+	var n int
+	progressFn(1, func(Progress) { n++ }, func(v float64) float64 { return v })(1, []float64{1})
+	if n != 0 {
+		t.Errorf("single-trial ensemble streamed %d progress events, want 0", n)
+	}
+}
